@@ -11,6 +11,7 @@ package algebra
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -35,20 +36,29 @@ func (c *Ctx) constValue(name string) (domain.Value, error) {
 }
 
 // Table is a named-column relation, the value of an algebra expression.
+//
+// Set-building operators read their inputs' rows map directly, in map
+// order: the order rows arrive in never reaches an output, whose row order
+// Rows() derives from the keys alone. Select alone iterates Rows(), so
+// which row's condition error surfaces first does not depend on map order.
 type Table struct {
 	Cols []string
 	rows map[string][]domain.Value
 	// sorted is an optional prebuilt Rows() snapshot, aligned with rows;
 	// it is shared by memoized base tables and dropped on mutation.
 	sorted [][]domain.Value
-	// shared marks rows (and sorted) as borrowed from a state memo: the
-	// first Add copies them instead of mutating the shared view.
+	// shared marks rows (and sorted) as borrowed from a state memo or
+	// another table: the first Add copies them instead of mutating the
+	// shared view.
 	shared bool
 }
 
 // NewTable returns an empty table with the given columns.
-func NewTable(cols []string) *Table {
-	return &Table{Cols: append([]string(nil), cols...), rows: map[string][]domain.Value{}}
+func NewTable(cols []string) *Table { return newTable(cols, 0) }
+
+// newTable is NewTable with room for n rows.
+func newTable(cols []string, n int) *Table {
+	return &Table{Cols: append([]string(nil), cols...), rows: make(map[string][]domain.Value, n)}
 }
 
 // Add inserts a row (copied).
@@ -65,7 +75,12 @@ func (t *Table) Add(row []domain.Value) error {
 		t.shared = false
 	}
 	t.sorted = nil
-	t.rows[db.Tuple(row).Key()] = append([]domain.Value(nil), row...)
+	var buf [64]byte
+	key := db.Tuple(row).AppendKey(buf[:0])
+	if _, ok := t.rows[string(key)]; !ok {
+		// Equal keys mean equal rows (the Value contract): no copy needed.
+		t.rows[string(key)] = append([]domain.Value(nil), row...)
+	}
 	return nil
 }
 
@@ -92,7 +107,8 @@ func (t *Table) Rows() [][]domain.Value {
 
 // Has reports row membership.
 func (t *Table) Has(row []domain.Value) bool {
-	_, ok := t.rows[db.Tuple(row).Key()]
+	var buf [64]byte
+	_, ok := t.rows[string(db.Tuple(row).AppendKey(buf[:0]))]
 	return ok
 }
 
@@ -163,9 +179,11 @@ func (b *Base) Eval(ctx *Ctx) (*Table, error) {
 			rows:   make(map[string][]domain.Value, len(tuples)),
 			sorted: make([][]domain.Value, 0, len(tuples)),
 		}
+		var buf []byte
 		for _, t := range tuples {
 			row := append([]domain.Value(nil), t...)
-			s.rows[db.Tuple(row).Key()] = row
+			buf = t.AppendKey(buf[:0])
+			s.rows[string(buf)] = row
 			s.sorted = append(s.sorted, row)
 		}
 		return s
@@ -283,9 +301,9 @@ func (p *Project) Eval(ctx *Ctx) (*Table, error) {
 		}
 		positions[i] = pos
 	}
-	out := NewTable(p.Cols)
-	for _, row := range in.Rows() {
-		slim := make([]domain.Value, len(positions))
+	out := newTable(p.Cols, in.Len())
+	slim := make([]domain.Value, len(positions)) // scratch: Add copies
+	for _, row := range in.rows {
 		for i, pos := range positions {
 			slim[i] = row[pos]
 		}
@@ -338,13 +356,8 @@ func (r *Rename) Eval(ctx *Ctx) (*Table, error) {
 	if err := distinctCols(cols); err != nil {
 		return nil, err
 	}
-	out := NewTable(cols)
-	for _, row := range in.Rows() {
-		if err := out.Add(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	// Same rows under new names: share them, copy on the first Add.
+	return &Table{Cols: cols, rows: in.rows, sorted: in.sorted, shared: true}, nil
 }
 
 // String implements Expr.
@@ -379,9 +392,11 @@ func (e *Extend) Eval(ctx *Ctx) (*Table, error) {
 	if err := distinctCols(cols); err != nil {
 		return nil, err
 	}
-	out := NewTable(cols)
-	for _, row := range in.Rows() {
-		if err := out.Add(append(append([]domain.Value(nil), row...), row[pos])); err != nil {
+	out := newTable(cols, in.Len())
+	wide := make([]domain.Value, 0, len(cols)) // scratch: Add copies
+	for _, row := range in.rows {
+		wide = append(append(wide[:0], row...), row[pos])
+		if err := out.Add(wide); err != nil {
 			return nil, err
 		}
 	}
@@ -425,29 +440,53 @@ func (j *Join) Eval(ctx *Ctx) (*Table, error) {
 		return nil, err
 	}
 	lIdx := l.colIndex()
-	rIdx := r.colIndex()
-	var shared []string
 	var rExtra []string
-	for _, c := range r.Cols {
-		if _, ok := lIdx[c]; ok {
-			shared = append(shared, c)
+	var lShared, rShared, rExtraPos []int
+	for i, c := range r.Cols {
+		if li, ok := lIdx[c]; ok {
+			lShared = append(lShared, li)
+			rShared = append(rShared, i)
 		} else {
 			rExtra = append(rExtra, c)
+			rExtraPos = append(rExtraPos, i)
 		}
 	}
-	// Hash the right side on the shared columns.
-	hash := map[string][][]domain.Value{}
-	for _, row := range r.Rows() {
-		key := joinKey(row, rIdx, shared)
-		hash[key] = append(hash[key], row)
+	// Hash the right side on the shared columns, keyed by the shared
+	// cells' tuple key.
+	cells := make(db.Tuple, len(lShared))
+	var buf []byte
+	sharedKey := func(row []domain.Value, pos []int) []byte {
+		for i, p := range pos {
+			cells[i] = row[p]
+		}
+		buf = cells.AppendKey(buf[:0])
+		return buf
+	}
+	// A key string is allocated once per distinct key; repeats find
+	// their bucket by a non-allocating lookup.
+	bucketOf := map[string]int{}
+	var buckets [][][]domain.Value
+	for _, row := range r.rows {
+		key := sharedKey(row, rShared)
+		b, ok := bucketOf[string(key)]
+		if !ok {
+			b = len(buckets)
+			bucketOf[string(key)] = b
+			buckets = append(buckets, nil)
+		}
+		buckets[b] = append(buckets[b], row)
 	}
 	out := NewTable(append(append([]string(nil), l.Cols...), rExtra...))
-	for _, lrow := range l.Rows() {
-		key := joinKey(lrow, lIdx, shared)
-		for _, rrow := range hash[key] {
-			row := append([]domain.Value(nil), lrow...)
-			for _, c := range rExtra {
-				row = append(row, rrow[rIdx[c]])
+	row := make([]domain.Value, 0, len(out.Cols)) // scratch: Add copies
+	for _, lrow := range l.rows {
+		b, ok := bucketOf[string(sharedKey(lrow, lShared))]
+		if !ok {
+			continue
+		}
+		for _, rrow := range buckets[b] {
+			row = append(row[:0], lrow...)
+			for _, p := range rExtraPos {
+				row = append(row, rrow[p])
 			}
 			if err := out.Add(row); err != nil {
 				return nil, err
@@ -455,15 +494,6 @@ func (j *Join) Eval(ctx *Ctx) (*Table, error) {
 		}
 	}
 	return out, nil
-}
-
-func joinKey(row []domain.Value, idx map[string]int, cols []string) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		k := row[idx[c]].Key()
-		parts[i] = fmt.Sprintf("%d:%s", len(k), k)
-	}
-	return strings.Join(parts, ",")
 }
 
 // String implements Expr.
@@ -486,16 +516,9 @@ func (u *Union) Eval(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTable(l.Cols)
-	for _, row := range l.Rows() {
-		if err := out.Add(row); err != nil {
-			return nil, err
-		}
-	}
-	for _, row := range r.Rows() {
-		if err := out.Add(row); err != nil {
-			return nil, err
-		}
+	out := &Table{Cols: append([]string(nil), l.Cols...), rows: maps.Clone(l.rows)}
+	for k, row := range r.rows {
+		out.rows[k] = row
 	}
 	return out, nil
 }
@@ -519,12 +542,10 @@ func (d *Diff) Eval(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTable(l.Cols)
-	for _, row := range l.Rows() {
-		if !r.Has(row) {
-			if err := out.Add(row); err != nil {
-				return nil, err
-			}
+	out := newTable(l.Cols, l.Len())
+	for k, row := range l.rows {
+		if _, ok := r.rows[k]; !ok {
+			out.rows[k] = row
 		}
 	}
 	return out, nil
@@ -536,7 +557,9 @@ func (d *Diff) String() string {
 }
 
 // alignedPair evaluates two expressions and reorders the right columns to
-// the left's order, failing if the column sets differ.
+// the left's order, failing if the column sets differ. The two tables then
+// key equal rows alike, so Union and Diff combine them by key, sharing the
+// (never mutated) row slices instead of re-encoding and copying rows.
 func alignedPair(ctx *Ctx, le, re Expr) (*Table, *Table, error) {
 	l, err := le.Eval(ctx)
 	if err != nil {
@@ -551,16 +574,21 @@ func alignedPair(ctx *Ctx, le, re Expr) (*Table, *Table, error) {
 	}
 	rIdx := r.colIndex()
 	perm := make([]int, len(l.Cols))
+	inOrder := true
 	for i, c := range l.Cols {
 		pos, ok := rIdx[c]
 		if !ok {
 			return nil, nil, fmt.Errorf("algebra: column sets differ: %v vs %v", l.Cols, r.Cols)
 		}
 		perm[i] = pos
+		inOrder = inOrder && pos == i
 	}
-	aligned := NewTable(l.Cols)
-	for _, row := range r.Rows() {
-		moved := make([]domain.Value, len(perm))
+	if inOrder {
+		return l, r, nil
+	}
+	aligned := newTable(l.Cols, r.Len())
+	moved := make([]domain.Value, len(perm)) // scratch: Add copies
+	for _, row := range r.rows {
 		for i, pos := range perm {
 			moved[i] = row[pos]
 		}

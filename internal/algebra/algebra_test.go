@@ -404,3 +404,20 @@ func randSafeCandidate(rng *rand.Rand, depth int) *logic.Formula {
 			logic.Neq(v(), v()))
 	}
 }
+
+// TestTableHasAllocs: a membership probe (Diff's inner loop, the
+// enumeration replay's candidate test) allocates no key string.
+func TestTableHasAllocs(t *testing.T) {
+	tab := algebra.NewTable([]string{"x", "y"})
+	row := []domain.Value{domain.Int(123456), domain.Int(7)}
+	if err := tab.Add(row); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !tab.Has(row) {
+			t.Fatal("Has lost the row")
+		}
+	}); n != 0 {
+		t.Errorf("Table.Has allocates %v times per call, want 0", n)
+	}
+}

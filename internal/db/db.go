@@ -7,6 +7,7 @@ package db
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -58,13 +59,41 @@ func (s *Scheme) HasConstant(name string) bool {
 // Tuple is a row of a relation.
 type Tuple []domain.Value
 
-// Key returns a canonical key for the tuple.
+// Key returns a canonical key for the tuple: AppendKey's bytes as a
+// string.
 func (t Tuple) Key() string {
-	parts := make([]string, len(t))
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the tuple's canonical key to dst and returns the
+// extended buffer. Each cell is its value key's byte length in decimal, a
+// colon, and the value key; cells are separated by commas ("1:3,2:10").
+// The length prefix makes the encoding injective whatever bytes the value
+// keys hold.
+//
+// The format is frozen: Relation.Tuples and algebra.Table.Rows sort rows
+// by it, so its byte order is the row order of every answer.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
-		parts[i] = fmt.Sprintf("%d:%s", len(v.Key()), v.Key())
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if n, ok := v.(domain.Int); ok {
+			// Formatted in place: Int.Key would allocate a string.
+			var digits [20]byte
+			d := strconv.AppendInt(digits[:0], int64(n), 10)
+			dst = strconv.AppendInt(dst, int64(len(d)), 10)
+			dst = append(dst, ':')
+			dst = append(dst, d...)
+			continue
+		}
+		k := v.Key()
+		dst = strconv.AppendInt(dst, int64(len(k)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, k...)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // String implements fmt.Stringer.
@@ -99,7 +128,13 @@ func (r *Relation) Add(t Tuple) error {
 	if len(t) != r.arity {
 		return fmt.Errorf("db: tuple %v has arity %d, relation has %d", t, len(t), r.arity)
 	}
-	r.rows[t.Key()] = append(Tuple(nil), t...)
+	var buf [64]byte
+	key := t.AppendKey(buf[:0])
+	if _, ok := r.rows[string(key)]; !ok {
+		// Equal keys mean equal tuples (the Value contract), so a row
+		// already present needs no copy.
+		r.rows[string(key)] = append(Tuple(nil), t...)
+	}
 	r.version++
 	return nil
 }
@@ -110,7 +145,8 @@ func (r *Relation) Version() uint64 { return r.version }
 
 // Has reports membership.
 func (r *Relation) Has(t Tuple) bool {
-	_, ok := r.rows[t.Key()]
+	var buf [64]byte
+	_, ok := r.rows[string(t.AppendKey(buf[:0]))]
 	return ok
 }
 
@@ -130,9 +166,9 @@ func (r *Relation) Tuples() []Tuple {
 
 // Clone deep-copies the relation.
 func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.arity)
-	for _, t := range r.rows {
-		out.rows[t.Key()] = append(Tuple(nil), t...)
+	out := &Relation{arity: r.arity, rows: make(map[string]Tuple, len(r.rows))}
+	for k, t := range r.rows {
+		out.rows[k] = append(Tuple(nil), t...)
 	}
 	return out
 }

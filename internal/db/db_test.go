@@ -64,6 +64,61 @@ func TestTupleKeyInjective(t *testing.T) {
 	}
 }
 
+// TestTupleKeyGolden pins the key bytes. Relation.Tuples and
+// algebra.Table.Rows sort rows by key, so the key's byte order is the row
+// order of every answer: a change here reorders answers on the wire.
+func TestTupleKeyGolden(t *testing.T) {
+	cases := []struct {
+		tuple Tuple
+		want  string
+	}{
+		{Tuple{}, ""},
+		{Tuple{domain.Int(0)}, "1:0"},
+		{Tuple{domain.Int(7)}, "1:7"},
+		{Tuple{domain.Int(150)}, "3:150"},
+		{Tuple{domain.Int(-3)}, "2:-3"},
+		{Tuple{domain.Int(12345678901)}, "11:12345678901"},
+		{Tuple{domain.Int(-9223372036854775808)}, "20:-9223372036854775808"},
+		{Tuple{domain.Word("")}, "0:"},
+		{Tuple{domain.Word("a,b")}, "3:a,b"},
+		{Tuple{domain.Word("x:y")}, "3:x:y"},
+		{Tuple{domain.Word("⊤")}, "3:⊤"}, // the prefix counts bytes, not runes
+		{Tuple{domain.Int(42), domain.Word("ab"), domain.Int(-7)}, "2:42,2:ab,2:-7"},
+	}
+	for _, c := range cases {
+		if got := c.tuple.Key(); got != c.want {
+			t.Errorf("%v.Key() = %q, want %q", c.tuple, got, c.want)
+		}
+		if got := string(c.tuple.AppendKey(nil)); got != c.want {
+			t.Errorf("%v.AppendKey(nil) = %q, want %q", c.tuple, got, c.want)
+		}
+		// Appending keeps what dst already holds, whether the key fits
+		// dst's spare capacity or forces a grow.
+		for _, dst := range [][]byte{[]byte("pre|"), append(make([]byte, 0, 256), "pre|"...)} {
+			if got := string(c.tuple.AppendKey(dst)); got != "pre|"+c.want {
+				t.Errorf("%v.AppendKey(%q) = %q, want %q", c.tuple, dst, got, "pre|"+c.want)
+			}
+		}
+	}
+}
+
+// TestHasAllocs: a membership probe builds its key on the stack and looks
+// it up without allocating a key string.
+func TestHasAllocs(t *testing.T) {
+	r := NewRelation(2)
+	probe := Tuple{domain.Int(123456), domain.Int(7)}
+	if err := r.Add(probe); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !r.Has(probe) {
+			t.Fatal("Has lost the row")
+		}
+	}); n != 0 {
+		t.Errorf("Relation.Has allocates %v times per call, want 0", n)
+	}
+}
+
 func TestStateBasics(t *testing.T) {
 	scheme := MustScheme(map[string]int{"F": 2}, "c")
 	st := NewState(scheme)

@@ -10,6 +10,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -127,8 +128,10 @@ func enumState(t *testing.T) *db.State {
 	return st
 }
 
-// belowSomeR is ∃y (R(y) ∧ x < y): finite ({0..6}), safe-range, so the
-// planner serves it from the algebra tier on the enumeration path.
+// belowSomeR is ∃y (R(y) ∧ x < y): finite ({0..6}), but x is bounded only
+// by a domain predicate, so the planner compiles it to the closure tier
+// and the enumeration runs the generic loop with the planner on or off.
+// TestPlanDifferentialEnumerateBudgets covers the algebra-tier replay.
 func belowSomeR() *logic.Formula {
 	return logic.Exists("y", logic.And(
 		logic.Atom("R", logic.Var("y")),
@@ -282,6 +285,99 @@ func TestPlanDifferentialRandom(t *testing.T) {
 		}
 		if on.Complete != off.Complete {
 			t.Errorf("%v: Complete differs", f)
+		}
+	}
+}
+
+// enumRun is one enumeration as the budget tests compare it: the rows in
+// delivery order, Complete, and the query.enumerate.probes delta.
+type enumRun struct {
+	rows     []db.Tuple
+	complete bool
+	probes   int64
+}
+
+func enumerateRun(t *testing.T, planned bool, st *db.State, f *logic.Formula, budget EnumerationBudget) enumRun {
+	t.Helper()
+	prev := plan.SetEnabled(planned)
+	defer plan.SetEnabled(prev)
+	var run enumRun
+	sink := func(_ []string, row db.Tuple) error {
+		run.rows = append(run.rows, row)
+		return nil
+	}
+	p0 := mEnumProbes.Value()
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, sink)
+	if err != nil {
+		t.Fatalf("planner=%v %v %+v: %v", planned, f, budget, err)
+	}
+	if ans.Rows.Len() != len(run.rows) {
+		t.Fatalf("planner=%v %v %+v: %d rows delivered, %d in the answer", planned, f, budget, len(run.rows), ans.Rows.Len())
+	}
+	run.complete = ans.Complete
+	run.probes = mEnumProbes.Value() - p0
+	return run
+}
+
+// candidateIndex is the position of a tuple in the §1.1 candidate order.
+func candidateIndex(dom Enumerable, tuple db.Tuple) int {
+	gen := newTupleGen(len(tuple))
+	cand := make(db.Tuple, len(tuple))
+	for i := 0; ; i++ {
+		for j, n := range gen.next() {
+			cand[j] = dom.Element(n)
+		}
+		if cand.Key() == tuple.Key() {
+			return i
+		}
+	}
+}
+
+// TestPlanDifferentialEnumerateBudgets: the algebra tier's single-pass
+// replay agrees with the interpreter's per-row rescanning loop — same rows
+// in the same delivery order, same Complete flag, same probe count — with
+// row and probe budgets of 1, exactly enough, one short, and plenty.
+func TestPlanDifferentialEnumerateBudgets(t *testing.T) {
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2}))
+	for _, n := range []int64{3, 7} {
+		if err := st.Insert("R", domain.Int(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range [][2]int64{{2, 0}, {0, 2}, {4, 1}, {1, 1}, {5, 3}} {
+		if err := st.Insert("S", domain.Int(p[0]), domain.Int(p[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []*logic.Formula{
+		parser.MustParse("exists y. (S(x, y) | S(y, x)) & ~R(x)"),
+		parser.MustParse("S(x, y)"),
+		parser.MustParse("exists z. (S(x, z) & S(z, y))"),
+	} {
+		if tier := plan.For(context.Background(), st.Scheme(), presburger.Domain{}.Name(), "", f).Tier(); tier != plan.TierAlgebra {
+			t.Fatalf("%v: plan tier %s, want the algebra tier this test exercises", f, tier)
+		}
+		full := enumerateRun(t, false, st, f, DefaultBudget)
+		if !full.complete || len(full.rows) < 2 {
+			t.Fatalf("%v: reference run gave %d rows, complete=%v", f, len(full.rows), full.complete)
+		}
+		n := len(full.rows)
+		last := candidateIndex(presburger.Domain{}, full.rows[n-1])
+		for _, rowsBudget := range []int{1, n - 1, n, DefaultBudget.Rows} {
+			for _, probeBudget := range []int{1, last, last + 1, DefaultBudget.Probe} {
+				budget := EnumerationBudget{Rows: rowsBudget, Probe: probeBudget}
+				on := enumerateRun(t, true, st, f, budget)
+				off := enumerateRun(t, false, st, f, budget)
+				if on.complete != off.complete {
+					t.Errorf("%v %+v: Complete plan %v, interp %v", f, budget, on.complete, off.complete)
+				}
+				if on.probes != off.probes {
+					t.Errorf("%v %+v: probes plan %d, interp %d", f, budget, on.probes, off.probes)
+				}
+				if fmt.Sprint(on.rows) != fmt.Sprint(off.rows) {
+					t.Errorf("%v %+v: row order differs:\nplan:   %v\ninterp: %v", f, budget, on.rows, off.rows)
+				}
+			}
 		}
 	}
 }

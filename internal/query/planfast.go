@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 
+	"repro/internal/algebra"
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/logic"
@@ -80,7 +81,11 @@ func planEnumerationAnswer(ctx context.Context, sp *obs.Span, dom Enumerable, st
 	}
 	sp.ArgStr("plan_tier", string(p.Tier()))
 
-	// Answer-tuple keys in sorted-variable order, for probe membership.
+	// perm maps the sorted variables onto the table's columns; a table
+	// with other columns than the variables goes the generic way.
+	if len(tab.Cols) != len(vars) {
+		return nil, nil, false
+	}
 	perm := make([]int, len(vars))
 	for i, v := range vars {
 		perm[i] = -1
@@ -94,17 +99,10 @@ func planEnumerationAnswer(ctx context.Context, sp *obs.Span, dom Enumerable, st
 			return nil, nil, false
 		}
 	}
-	members := make(map[string]bool, tab.Len())
-	for _, row := range tab.Rows() {
-		t := make(db.Tuple, len(perm))
-		for i, j := range perm {
-			t[i] = row[j]
-		}
-		members[t.Key()] = true
-	}
 
 	ans := &Answer{Vars: vars, Rows: db.NewRelation(len(vars)), Complete: false}
-	foundKeys := map[string]bool{}
+	scan := &tableScan{dom: dom, tab: tab, perm: perm, gen: newTupleGen(len(vars)),
+		cells: make([]domain.Value, len(vars))}
 	rows := 0
 	for rows < budget.Rows {
 		rsp := sp.Child("row")
@@ -118,14 +116,14 @@ func planEnumerationAnswer(ctx context.Context, sp *obs.Span, dom Enumerable, st
 				return ans, err, true
 			}
 		}
-		if rows == len(members) {
+		if rows == tab.Len() {
 			rsp.End()
 			ans.Complete = true
 			mEnumRows.Add(int64(ans.Rows.Len()))
 			sp.Arg("rows", int64(ans.Rows.Len()))
 			return ans, nil, true
 		}
-		row, probes, err := nextRowFromTable(ctx, dom, members, foundKeys, len(vars), budget.Probe)
+		row, probes, err := scan.next(ctx, budget.Probe)
 		rsp.Arg("probes", int64(probes))
 		rsp.End()
 		if err != nil {
@@ -141,7 +139,6 @@ func planEnumerationAnswer(ctx context.Context, sp *obs.Span, dom Enumerable, st
 			sp.Arg("rows", int64(ans.Rows.Len()))
 			return ans, nil, true // probe budget exhausted
 		}
-		foundKeys[row.Key()] = true
 		rows++
 		if err := ans.Rows.Add(row); err != nil {
 			return nil, err, true
@@ -157,32 +154,47 @@ func planEnumerationAnswer(ctx context.Context, sp *obs.Span, dom Enumerable, st
 	return ans, nil, true
 }
 
-// nextRowFromTable is nextRow with table membership in place of ground
-// decisions: same candidate order, same probe accounting, same found-row
-// skip behavior.
-func nextRowFromTable(ctx context.Context, dom Enumerable, members, found map[string]bool,
-	k, probe int) (db.Tuple, int, error) {
+// tableScan is nextRow with table membership in place of ground decisions,
+// run as one pass over the candidate order. The generic loop rescans from
+// candidate 0 for every row, spending a probe on each found row it skips;
+// since rows surface in candidate order (Element visits each domain
+// element once, so no candidate repeats), the row found at candidate index
+// i costs it exactly i+1 probes. So one scan that keeps its position
+// across rows reproduces the rows, their order and the probe accounting.
+type tableScan struct {
+	dom   Enumerable
+	tab   *algebra.Table
+	perm  []int // variable i is table column perm[i]
+	gen   *tupleGen
+	pos   int            // candidates consumed so far
+	cells []domain.Value // probe scratch, in table column order
+}
 
-	gen := newTupleGen(k)
-	for i := 0; i < probe; i++ {
+// next returns the next answer row and the probes the generic loop spends
+// finding it, or nil when that exceeds the probe budget.
+func (s *tableScan) next(ctx context.Context, probe int) (db.Tuple, int, error) {
+	for s.pos < probe {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, i, err
+				mEnumProbes.Add(int64(s.pos))
+				return nil, s.pos, err
 			}
 		}
-		mEnumProbes.Inc()
-		idx := gen.next()
-		tuple := make(db.Tuple, k)
-		for j := range idx {
-			tuple[j] = dom.Element(idx[j])
+		idx := s.gen.next()
+		s.pos++
+		for i, n := range idx {
+			s.cells[s.perm[i]] = s.dom.Element(n)
 		}
-		if found[tuple.Key()] {
-			continue
-		}
-		if members[tuple.Key()] {
-			return tuple, i + 1, nil
+		if s.tab.Has(s.cells) {
+			mEnumProbes.Add(int64(s.pos))
+			row := make(db.Tuple, len(s.perm))
+			for i, j := range s.perm {
+				row[i] = s.cells[j]
+			}
+			return row, s.pos, nil
 		}
 	}
+	mEnumProbes.Add(int64(max(probe, 0))) // the generic loop runs max(probe, 0) probes
 	return nil, probe, nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/db"
 	"repro/internal/domain"
@@ -281,21 +283,26 @@ func maxInt(a, b int) int {
 }
 
 // activeRange is the active domain of the state extended with the query's
-// constant values.
+// constant values. The active domain is sorted by key, so a constant's
+// membership is a binary search over it (plus a scan of the few constants
+// already appended); a query without constants gets the memoized active
+// domain itself. That slice has no spare capacity, so the first append
+// copies it.
 func activeRange(dom domain.Domain, st *db.State, f *logic.Formula) ([]domain.Value, error) {
-	rng := st.ActiveDomain()
-	seen := map[string]bool{}
-	for _, v := range rng {
-		seen[v.Key()] = true
-	}
+	adom := st.ActiveDomain()
+	rng := adom
 	si := stateInterp{dom: dom, st: st}
 	for _, cname := range f.Constants() {
 		v, err := si.ConstValue(cname)
 		if err != nil {
 			return nil, err
 		}
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
+		k := v.Key()
+		i := sort.Search(len(adom), func(i int) bool { return adom[i].Key() >= k })
+		if i < len(adom) && adom[i].Key() == k {
+			continue
+		}
+		if !slices.ContainsFunc(rng[len(adom):], func(u domain.Value) bool { return u.Key() == k }) {
 			rng = append(rng, v)
 		}
 	}

@@ -204,9 +204,13 @@ func TestRequestIDOn429Shed(t *testing.T) {
 	// Saturate workers + queue with requests the clients cancel at the end,
 	// as in TestQueueOverflow429.
 	satCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer func() {
+		// Cancel before waiting: the saturating evaluations run until
+		// their clients give up, so waiting first sits out EvalTimeout.
+		cancel()
+		wg.Wait()
+	}()
 	for i := 0; i < cfg.Workers+cfg.QueueDepth; i++ {
 		wg.Add(1)
 		go func() {
