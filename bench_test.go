@@ -6,6 +6,7 @@
 package finq
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -409,40 +410,6 @@ func BenchmarkAblationCooperDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalParallel compares serial and fanned-out active-domain
-// evaluation on a 3-variable join. On a single-CPU machine (like the
-// development box, nproc=1) the fan-out cannot pay and the bench shows
-// parity; with real cores the outer-variable split scales near-linearly
-// since workers share nothing but the read-only state.
-func BenchmarkEvalParallel(b *testing.B) {
-	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
-	for i := 0; i < 24; i++ {
-		if err := st.Insert("F", domain.Int(int64(i)), domain.Int(int64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	f := logic.Exists("y", logic.And(
-		logic.Atom("F", logic.Var("x"), logic.Var("y")),
-		logic.Atom("F", logic.Var("y"), logic.Var("z"))))
-	d := presburger.Domain{}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := query.EvalActive(d, st, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := query.EvalActiveParallel(d, st, f, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTuringSimulation measures raw machine stepping.
 func BenchmarkTuringSimulation(b *testing.B) {
 	m := turing.LoopForever()
@@ -492,7 +459,7 @@ func BenchmarkEvalActive(b *testing.B) {
 			d := presburger.Domain{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ans, err := query.EvalActive(d, st, f)
+				ans, err := query.EvalActiveCtx(context.Background(), d, st, f)
 				if err != nil || ans.Rows.Len() != n-1 {
 					b.Fatalf("bad answer: %v %v", ans.Rows.Len(), err)
 				}

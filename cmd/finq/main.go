@@ -75,7 +75,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   finq domains
   finq decide    -domain <name> "<sentence>"
-  finq eval      -domain <name> [-state file.json] [-mode active|enumerate] [-workers n] [-profile] [-json] "<formula>"
+  finq eval      -domain <name> [-state file.json] [-mode active|enumerate] [-profile] [-json] "<formula>"
   finq translate -domain <name> -state file.json "<formula>"
   finq saferange -state file.json "<formula>"
   finq algebra   -domain <name> -state file.json "<safe-range formula>"
@@ -201,7 +201,6 @@ func runEval(args []string) error {
 	statePath := fs.String("state", "", "state JSON file")
 	mode := fs.String("mode", "active", "evaluation mode: active or enumerate")
 	rows := fs.Int("rows", 100, "row budget for -mode enumerate")
-	workers := fs.Int("workers", 0, "fan active-domain evaluation over n workers (0 = serial)")
 	profile := fs.Bool("profile", false, "print the EXPLAIN profile alongside the answer")
 	jsonOut := fs.Bool("json", false, "print the result as JSON (the finqd /v1/eval wire format)")
 	if err := fs.Parse(args); err != nil {
@@ -222,10 +221,7 @@ func runEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	req := finq.Request{
-		Domain: d.Name, State: st, Formula: f,
-		Workers: *workers, Profile: *profile,
-	}
+	req := finq.Request{Domain: d.Name, State: st, Formula: f, Profile: *profile}
 	switch *mode {
 	case "active":
 		req.Mode = finq.ModeActive

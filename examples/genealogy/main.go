@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,10 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("relative safety (Theorem 2.5 decider):", v)
-	ans, err := finq.Enumerate(d, st, fact21, finq.DefaultBudget)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ans := enumerate(d, st, fact21)
 	fmt.Printf("answer by §1.1 enumeration: %v (complete=%v) — outside the active domain {2,5},\n", ans.Rows.Tuples(), ans.Complete)
 	fmt.Println("so the query is finite but not domain-independent")
 
@@ -68,15 +66,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err = finq.Enumerate(d, st, early, finq.DefaultBudget)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ans = enumerate(d, st, early)
 	fmt.Printf("\nyears before the latest birth: %v\n", ans.Rows.Tuples())
-	ansFin, err := finq.Enumerate(d, st, finq.Finitize(early), finq.DefaultBudget)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ansFin := enumerate(d, st, finq.Finitize(early))
 	fmt.Printf("same query finitized:          %v (identical — the finitization of a finite query is equivalent to it)\n",
 		ansFin.Rows.Tuples())
+}
+
+// enumerate answers f by the §1.1 enumeration algorithm under the default
+// budget.
+func enumerate(d finq.DomainInfo, st *finq.State, f *finq.Formula) *finq.Answer {
+	res, err := finq.Eval(context.Background(), finq.Request{
+		Domain: d.Name, State: st, Formula: f, Mode: finq.ModeEnumerate,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Answer
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,10 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nearly-arrival query: relative safety %v\n", v)
-	ans, err := finq.Enumerate(d, st, early, finq.DefaultBudget)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ans := enumerate(d, st, early)
 	fmt.Printf("answer: %v (complete=%v)\n", ans.Rows.Tuples(), ans.Complete)
 
 	// The successor domain answers anchored queries without order
@@ -81,10 +79,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err = finq.Enumerate(ns, st, pred, finq.DefaultBudget)
+	ans = enumerate(ns, st, pred)
+	fmt.Printf("\nN' (no order): hour-before-shift query: safety %v, answer %v\n",
+		v, ans.Rows.Tuples())
+}
+
+// enumerate answers f by the §1.1 enumeration algorithm under the default
+// budget.
+func enumerate(d finq.DomainInfo, st *finq.State, f *finq.Formula) *finq.Answer {
+	res, err := finq.Eval(context.Background(), finq.Request{
+		Domain: d.Name, State: st, Formula: f, Mode: finq.ModeEnumerate,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nN' (no order): hour-before-shift query: safety %v, answer %v\n",
-		v, ans.Rows.Tuples())
+	return res.Answer
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,11 +73,11 @@ func show(d finq.DomainInfo, st *finq.State, title string, f *finq.Formula) {
 	fmt.Printf("\n%s:\n  %v\n", title, f)
 	report := finq.SafeRange(st.Scheme(), f)
 	fmt.Printf("  safe-range: %v\n", report.Safe)
-	ans, err := finq.EvalActive(d, st, f)
+	res, err := finq.Eval(context.Background(), finq.Request{Domain: d.Name, State: st, Formula: f})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range ans.Rows.Tuples() {
+	for _, row := range res.Answer.Rows.Tuples() {
 		fmt.Printf("  answer %v\n", row)
 	}
 }

@@ -25,7 +25,9 @@
 //	st := finq.NewState(scheme)
 //	st.Insert("F", finq.Word("adam"), finq.Word("abel"))
 //	f, _ := d.Parse("exists y. F(x, y)")
-//	ans, _ := finq.EvalActive(d, st, f)
+//	res, _ := finq.Eval(context.Background(), finq.Request{Domain: "eq", State: st, Formula: f})
+//	// res.Answer holds the rows; set Request.Profile for an EXPLAIN
+//	// profile, Request.Mode = finq.ModeEnumerate for the §1.1 algorithm.
 package finq
 
 import (
@@ -253,15 +255,12 @@ type Request struct {
 	Formula *Formula
 	// Mode selects the algorithm; empty means ModeActive.
 	Mode EvalMode
-	// Workers fans active-domain evaluation out over a worker pool when
-	// > 1; ≤ 1 evaluates serially. Ignored under ModeEnumerate and when
-	// Profile is set (profiling is serial by construction).
-	Workers int
 	// Budget bounds ModeEnumerate; nil means DefaultBudget. Ignored under
 	// ModeActive.
 	Budget *EnumerationBudget
-	// Profile requests a per-node EXPLAIN profile alongside the answer.
-	// Profiling adds per-node timers, so profiled runs are slower.
+	// Profile requests a per-node EXPLAIN profile alongside the answer
+	// (ModeActive only). Profiled runs go through the interpreter with
+	// per-node timers, so they are slower.
 	Profile bool
 	// OnRow, when non-nil under ModeEnumerate, receives each answer row as
 	// the §1.1 algorithm finds it — before the next existential decision —
@@ -389,10 +388,6 @@ func evalMode(ctx context.Context, d DomainInfo, st *State, mode EvalMode, req R
 			ans, prof, err := query.EvalActiveProfiledCtx(ctx, d.Domain, st, req.Formula)
 			return packResult(ans, prof, err)
 		}
-		if req.Workers > 1 {
-			ans, err := query.EvalActiveParallelCtx(ctx, d.Domain, st, req.Formula, req.Workers)
-			return packResult(ans, nil, err)
-		}
 		ans, err := query.EvalActiveCtx(ctx, d.Domain, st, req.Formula)
 		return packResult(ans, nil, err)
 	case ModeEnumerate:
@@ -492,59 +487,16 @@ func packResult(ans *Answer, prof *Profile, err error) (*Result, error) {
 	return res, nil
 }
 
-// EvalActive evaluates a query under active-domain semantics.
-//
-// Deprecated: use Eval, the options-struct entrypoint, which additionally
-// honors a request context. EvalActive is Eval with a background context
-// and default options.
-func EvalActive(d DomainInfo, st *State, f *Formula) (*Answer, error) {
-	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answer, nil
-}
-
 // Profile is a per-query EXPLAIN report: a tree mirroring the formula with
 // per-node eval counts, row cardinalities, quantifier range sizes, and
 // wall time, rendered by its Text and JSON methods.
 type Profile = query.Profile
 
-// Explain evaluates a query under active-domain semantics with per-node
-// profiling and returns the answer plus its EXPLAIN profile. Profiling
-// adds per-node timers, so this is slower than EvalActive — use it to
-// understand a query, not to serve it.
-//
-// Deprecated: use Eval with Request.Profile set, which additionally honors
-// a request context.
-func Explain(d DomainInfo, st *State, f *Formula) (*Answer, *Profile, error) {
-	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f, Profile: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Answer, res.Profile, nil
-}
-
-// EnumerationBudget bounds Enumerate.
+// EnumerationBudget bounds ModeEnumerate evaluations (Request.Budget).
 type EnumerationBudget = query.EnumerationBudget
 
 // DefaultBudget is a budget suitable for interactive use.
 var DefaultBudget = query.DefaultBudget
-
-// Enumerate runs the paper's §1.1 query-answering algorithm: complete on
-// finite (safe) queries, budget-capped on infinite ones.
-//
-// Deprecated: use Eval with Request.Mode set to ModeEnumerate, which
-// additionally honors a request context.
-func Enumerate(d DomainInfo, st *State, f *Formula, budget EnumerationBudget) (*Answer, error) {
-	res, err := Eval(context.Background(), Request{
-		Domain: d.Name, State: st, Formula: f, Mode: ModeEnumerate, Budget: &budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answer, nil
-}
 
 // Decide decides a pure-domain sentence.
 func Decide(d DomainInfo, sentence *Formula) (bool, error) {

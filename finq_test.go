@@ -1,6 +1,7 @@
 package finq
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -38,12 +39,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := EvalActive(d, st, f)
+	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Rows.Len() != 1 {
-		t.Errorf("fathers = %d, want 1", ans.Rows.Len())
+	if res.Answer.Rows.Len() != 1 {
+		t.Errorf("fathers = %d, want 1", res.Answer.Rows.Len())
 	}
 	v, err := RelativeSafety(d, st, f)
 	if err != nil || v != Holds {
@@ -65,11 +66,11 @@ func TestFacadeEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := Enumerate(d, st, f, DefaultBudget)
+	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f, Mode: ModeEnumerate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ans.Complete || ans.Rows.Len() != 3 {
+	if ans := res.Answer; !ans.Complete || ans.Rows.Len() != 3 {
 		t.Errorf("enumeration: %d rows, complete=%v", ans.Rows.Len(), ans.Complete)
 	}
 }

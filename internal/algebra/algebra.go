@@ -105,6 +105,17 @@ func (t *Table) Rows() [][]domain.Value {
 	return out
 }
 
+// Each calls fn on every row in no particular order, without the sort
+// Rows pays, and stops at fn's first error. fn must not mutate the row.
+func (t *Table) Each(fn func(row []domain.Value) error) error {
+	for _, row := range t.rows {
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Has reports row membership.
 func (t *Table) Has(row []domain.Value) bool {
 	var buf [64]byte

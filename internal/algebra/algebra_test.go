@@ -1,6 +1,7 @@
 package algebra_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -213,7 +214,7 @@ func compileAndCompare(t *testing.T, ctx *algebra.Ctx, src string) {
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", src, err)
 	}
-	want, err := query.EvalActive(ctx.Dom, ctx.St, f)
+	want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 	if err != nil {
 		t.Fatalf("EvalActive(%s): %v", src, err)
 	}
@@ -321,7 +322,7 @@ func TestCompileForallSentence(t *testing.T) {
 		if got := tab.Len() > 0; got != tc.want {
 			t.Errorf("%s = %v, want %v\nplan: %s", tc.src, got, tc.want, plan.String())
 		}
-		ans, err := query.EvalActive(ctx.Dom, ctx.St, f)
+		ans, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 		if err != nil {
 			t.Fatalf("EvalActive(%s): %v", tc.src, err)
 		}
@@ -365,7 +366,7 @@ func TestCompileAgainstCalculusRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Eval of compiled %v: %v", f, err)
 		}
-		want, err := query.EvalActive(ctx.Dom, ctx.St, f)
+		want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 		if err != nil {
 			t.Fatalf("EvalActive(%v): %v", f, err)
 		}

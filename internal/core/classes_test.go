@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -26,7 +27,7 @@ import (
 // does not change. (Exact for the probed quantifier depth.)
 func isDomainIndependentProbe(t *testing.T, st *db.State, f *logic.Formula) bool {
 	t.Helper()
-	base, err := query.EvalActive(presburger.Domain{}, st, f)
+	base, err := query.EvalActiveCtx(context.Background(), presburger.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}
@@ -35,7 +36,7 @@ func isDomainIndependentProbe(t *testing.T, st *db.State, f *logic.Formula) bool
 	rider := logic.And(f,
 		logic.Eq(logic.Const("901"), logic.Const("901")),
 		logic.Eq(logic.Const("902"), logic.Const("902")))
-	wide, err := query.EvalActive(presburger.Domain{}, st, rider)
+	wide, err := query.EvalActiveCtx(context.Background(), presburger.Domain{}, st, rider)
 	if err != nil {
 		t.Fatalf("EvalActive wide: %v", err)
 	}

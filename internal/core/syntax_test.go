@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -134,11 +135,11 @@ func TestActiveDomainSyntaxEquivalenceOnFiniteQueries(t *testing.T) {
 		logic.And(logic.Atom("F", logic.Var("x"), logic.Var("y")), logic.Neq(logic.Var("x"), logic.Var("y"))),
 	}
 	for _, f := range finiteQueries {
-		base, err := query.EvalActive(eqdom.Domain{}, st, f)
+		base, err := query.EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restricted, err := query.EvalActive(eqdom.Domain{}, st, Restrict(f, delta))
+		restricted, err := query.EvalActiveCtx(context.Background(), eqdom.Domain{}, st, Restrict(f, delta))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,8 +73,8 @@ func QueryKeyLabel(key string) string {
 }
 
 // Do runs fn with the given pprof labels (alternating key, value) added
-// to the calling goroutine — and to any goroutine it spawns, so parallel
-// evaluation workers inherit the request's labels. When attribution is
+// to the calling goroutine — and to any goroutine it spawns, so work the
+// evaluation fans out inherits the request's labels. When attribution is
 // disabled, fn runs directly. An odd trailing key is dropped.
 func Do(ctx context.Context, fn func(context.Context), kv ...string) {
 	if !enabled.Load() || len(kv) < 2 {

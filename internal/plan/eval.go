@@ -69,9 +69,10 @@ func (p *Plan) AnswerTable(dom domain.Domain, st *db.State) (*algebra.Table, err
 }
 
 // resultFromTable converts an algebra answer table into a Result, mapping
-// table columns to the plan's sorted variable order. The context is
-// polled between rows so a cancelled request still surfaces a partial
-// answer, matching the generic evaluator's contract.
+// table columns to the plan's sorted variable order. The rows are copied
+// once, unsorted: the relation orders them by key when they are read. A
+// context already dead before the copy yields an empty partial answer and
+// the context's error, matching the generic evaluator's contract.
 func (p *Plan) resultFromTable(ctx context.Context, tab *algebra.Table) (*Result, error) {
 	if len(p.vars) == 0 {
 		return &Result{Vars: p.vars, Truth: tab.Len() > 0, Complete: true}, nil
@@ -91,20 +92,22 @@ func (p *Plan) resultFromTable(ctx context.Context, tab *algebra.Table) (*Result
 		}
 	}
 	res := &Result{Vars: p.vars, Rows: db.NewRelation(len(p.vars)), Complete: true}
-	for _, row := range tab.Rows() {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				res.Complete = false
-				return res, err
-			}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			res.Complete = false
+			return res, err
 		}
-		t := make(db.Tuple, len(perm))
+	}
+	// Add copies the tuple, so one scratch tuple serves every row.
+	t := make(db.Tuple, len(perm))
+	err := tab.Each(func(row []domain.Value) error {
 		for i, j := range perm {
 			t[i] = row[j]
 		}
-		if err := res.Rows.Add(t); err != nil {
-			return nil, err
-		}
+		return res.Rows.Add(t)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -3,12 +3,13 @@ package query
 import (
 	"context"
 	"errors"
-	"runtime"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/db"
 	"repro/internal/domain"
+	"repro/internal/domains/eqdom"
 	"repro/internal/logic"
 	"repro/internal/presburger"
 )
@@ -81,12 +82,7 @@ func TestEnumerationCtxAlreadyCancelled(t *testing.T) {
 // TestEvalActiveCtxCancel cancels active-domain evaluation and checks the
 // partial answer contract: rows so far, Complete=false, context error.
 func TestEvalActiveCtxCancel(t *testing.T) {
-	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
-	for i := 0; i < 64; i++ {
-		if err := st.Insert("F", domain.Int(int64(i)), domain.Int(int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	st := chainState(t, 64)
 	f := logic.Atom("F", logic.Var("x"), logic.Var("y"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -99,58 +95,111 @@ func TestEvalActiveCtxCancel(t *testing.T) {
 	}
 }
 
-// TestEvalActiveCtxBackgroundMatchesDeprecated: with no cancellation the
-// ctx evaluator and the deprecated wrapper agree exactly.
-func TestEvalActiveCtxBackgroundMatchesDeprecated(t *testing.T) {
-	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
-	for i := 0; i < 8; i++ {
-		if err := st.Insert("F", domain.Int(int64(i)), domain.Int(int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestEvalActiveProfiledCtxCancel: the profiled entry point keeps the
+// partial-answer contract of EvalActiveCtx — a dead context yields the
+// rows so far, a profile marked incomplete, and the context's error.
+func TestEvalActiveProfiledCtxCancel(t *testing.T) {
+	st := chainState(t, 16)
 	f := logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y")))
-	a, err := EvalActive(eqDomainOverInts{}, st, f)
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ans, prof, err := EvalActiveProfiledCtx(ctx, eqDomainOverInts{}, st, f)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want Canceled, got %v", err)
 	}
-	b, err := EvalActiveCtx(context.Background(), eqDomainOverInts{}, st, f)
-	if err != nil {
-		t.Fatal(err)
+	if ans == nil || ans.Complete || prof == nil || prof.Complete {
+		t.Fatalf("cancelled profiled eval: want partial answer and profile, got %+v, %+v", ans, prof)
 	}
-	if a.Rows.Len() != b.Rows.Len() || !a.Complete || !b.Complete {
-		t.Fatalf("wrapper and ctx evaluator disagree: %d vs %d rows", a.Rows.Len(), b.Rows.Len())
+	if prof.Rows != ans.Rows.Len() {
+		t.Errorf("profile rows %d, answer has %d", prof.Rows, ans.Rows.Len())
 	}
-	for _, row := range a.Rows.Tuples() {
-		if !b.Rows.Has(row) {
-			t.Errorf("row %v missing from ctx evaluator", row)
+}
+
+// TestEvalActiveParallelAllWorkersError: P is not a database relation and
+// eqDomainOverInts has no predicates, so every assignment fails. Several
+// goroutines ("workers") evaluate over one shared state at once, as the
+// server's concurrent requests do; each must get the domain error and no
+// answer from both entry points, and a watchdog turns a hang into a failure.
+func TestEvalActiveParallelAllWorkersError(t *testing.T) {
+	checkDomainErrorConcurrently(t, logic.Atom("P", logic.Var("x")))
+}
+
+// TestEvalActiveParallelPartialErrors: only the assignments that reach the
+// failing disjunct P(x) error, so concurrent workers mix successful atom
+// evaluations with failing ones; the domain error must still surface.
+func TestEvalActiveParallelPartialErrors(t *testing.T) {
+	checkDomainErrorConcurrently(t,
+		logic.Or(logic.Atom("F", logic.Var("x"), logic.Var("y")), logic.Atom("P", logic.Var("x"))))
+}
+
+// checkDomainErrorConcurrently evaluates f from 1, 2 and 8 concurrent
+// workers over one chain state and checks that every call, plain and
+// profiled, returns errNoFunc with no answer within the watchdog.
+func checkDomainErrorConcurrently(t *testing.T, f *logic.Formula) {
+	t.Helper()
+	st := chainState(t, 16)
+	for _, workers := range []int{1, 2, 8} {
+		errs := make(chan string, 2*workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				ans, err := EvalActiveCtx(context.Background(), eqDomainOverInts{}, st, f)
+				if !errors.Is(err, errNoFunc) || ans != nil {
+					errs <- fmt.Sprintf("want the domain error and no answer, got %v, %v", ans, err)
+				} else {
+					errs <- ""
+				}
+				ans, prof, err := EvalActiveProfiledCtx(context.Background(), eqDomainOverInts{}, st, f)
+				if !errors.Is(err, errNoFunc) || ans != nil || prof != nil {
+					errs <- fmt.Sprintf("profiled: want the domain error and no answer, got %v, %v, %v", ans, prof, err)
+				} else {
+					errs <- ""
+				}
+			}()
+		}
+		watchdog := time.After(30 * time.Second)
+		for i := 0; i < 2*workers; i++ {
+			select {
+			case msg := <-errs:
+				if msg != "" {
+					t.Errorf("workers=%d, %v: %s", workers, f, msg)
+				}
+			case <-watchdog:
+				t.Fatalf("workers=%d, %v: evaluation hung on a domain error", workers, f)
+			}
 		}
 	}
 }
 
-// TestEvalActiveParallelCtxCancelNoLeak cancels parallel evaluations
-// repeatedly and checks that workers and feeder always exit: the goroutine
-// count must settle back to its baseline.
-func TestEvalActiveParallelCtxCancelNoLeak(t *testing.T) {
-	st := failingState(t)
-	f := logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y")))
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := EvalActiveParallelCtx(ctx, eqDomainOverInts{}, st, f, 4); !errors.Is(err, context.Canceled) {
-			t.Fatalf("want Canceled, got %v", err)
+// chainState is the integer chain F = {(i, i+1) : i < n}.
+func chainState(t *testing.T, n int) *db.State {
+	t.Helper()
+	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
+	for i := 0; i < n; i++ {
+		if err := st.Insert("F", domain.Int(int64(i)), domain.Int(int64(i+1))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d across cancelled parallel evaluations", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	return st
 }
+
+// eqDomainOverInts is the equality-only view over integer values, enough
+// for random evaluation tests.
+type eqDomainOverInts struct{}
+
+func (eqDomainOverInts) Name() string { return "eqints" }
+func (eqDomainOverInts) ConstValue(name string) (domain.Value, error) {
+	return eqdom.Domain{}.ConstValue(name)
+}
+func (eqDomainOverInts) ConstName(v domain.Value) string { return v.Key() }
+func (eqDomainOverInts) Func(string, []domain.Value) (domain.Value, error) {
+	return nil, errNoFunc
+}
+func (eqDomainOverInts) Pred(string, []domain.Value) (bool, error) {
+	return false, errNoFunc
+}
+
+var errNoFunc = &noFuncError{}
+
+type noFuncError struct{}
+
+func (*noFuncError) Error() string { return "eqints: pure equality signature" }

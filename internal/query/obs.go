@@ -2,7 +2,7 @@ package query
 
 import "repro/internal/obs"
 
-// Package metrics. Counters are batched where a loop is hot: EvalActive
+// Package metrics. Counters are batched where a loop is hot: EvalActiveCtx
 // counts leaf assignments locally and adds once per call, so the inner
 // recursion carries no atomic traffic.
 var (
@@ -19,7 +19,4 @@ var (
 	mEnumDecisions = obs.NewCounter("query.enumerate.decisions")
 	mEnumProbes    = obs.NewCounter("query.enumerate.probes")
 	mEnumExhausted = obs.NewCounter("query.enumerate.budget_exhausted")
-
-	mParJobs    = obs.NewCounter("query.parallel.jobs")
-	gParWorkers = obs.NewGauge("query.parallel.workers")
 )

@@ -57,12 +57,12 @@ func evalBothActive(t *testing.T, st *db.State, f *logic.Formula) (on, off *Answ
 	t.Helper()
 	prev := plan.SetEnabled(true)
 	defer plan.SetEnabled(prev)
-	on, err := EvalActive(eqdom.Domain{}, st, f)
+	on, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("planner on: %v", err)
 	}
 	plan.SetEnabled(false)
-	off, err = EvalActive(eqdom.Domain{}, st, f)
+	off, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("planner off: %v", err)
 	}
@@ -115,32 +115,46 @@ func TestPlanDifferentialActiveEmptyRelation(t *testing.T) {
 	}
 }
 
-// enumState is the arithmetic fixture of the enumeration tests: R = {3, 7}
-// over Presburger arithmetic.
+// enumState is the arithmetic fixture of the enumeration tests over
+// Presburger arithmetic: R = {3, 7} and S = {(2,0), (0,2), (4,1), (1,1),
+// (5,3)}.
 func enumState(t *testing.T) *db.State {
 	t.Helper()
-	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2}))
 	for _, n := range []int64{3, 7} {
 		if err := st.Insert("R", domain.Int(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range [][2]int64{{2, 0}, {0, 2}, {4, 1}, {1, 1}, {5, 3}} {
+		if err := st.Insert("S", domain.Int(p[0]), domain.Int(p[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return st
 }
 
-// belowSomeR is ∃y (R(y) ∧ x < y): finite ({0..6}), but x is bounded only
-// by a domain predicate, so the planner compiles it to the closure tier
-// and the enumeration runs the generic loop with the planner on or off.
-// TestPlanDifferentialEnumerateBudgets covers the algebra-tier replay.
-func belowSomeR() *logic.Formula {
-	return logic.Exists("y", logic.And(
-		logic.Atom("R", logic.Var("y")),
-		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Var("y"))))
+// touchesS is ∃y (S(x, y) ∨ S(y, x)) ∧ ¬R(x): the S endpoints outside R,
+// {0, 1, 2, 4, 5}. It is safe-range, so it plans to the algebra tier and
+// the planner-on enumeration replays the materialized answer.
+func touchesS() *logic.Formula {
+	return parser.MustParse("exists y. (S(x, y) | S(y, x)) & ~R(x)")
+}
+
+// requireAlgebraTier fails the test unless f plans to the algebra tier,
+// so a planner-on run cannot silently fall back to the generic loop and
+// compare the interpreter with itself.
+func requireAlgebraTier(t *testing.T, st *db.State, f *logic.Formula) {
+	t.Helper()
+	if tier := plan.For(context.Background(), st.Scheme(), presburger.Domain{}.Name(), "", f).Tier(); tier != plan.TierAlgebra {
+		t.Fatalf("%v: plan tier %s, want the algebra tier", f, tier)
+	}
 }
 
 // evalBothEnum runs the §1.1 algorithm with the planner on and off.
 func evalBothEnum(t *testing.T, st *db.State, f *logic.Formula, budget EnumerationBudget) (on, off *Answer) {
 	t.Helper()
+	requireAlgebraTier(t, st, f)
 	prev := plan.SetEnabled(true)
 	defer plan.SetEnabled(prev)
 	on, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, budget)
@@ -172,15 +186,15 @@ func sameRowSeq(a, b *Answer) bool {
 
 func TestPlanDifferentialEnumerate(t *testing.T) {
 	st := enumState(t)
-	on, off := evalBothEnum(t, st, belowSomeR(), DefaultBudget)
+	on, off := evalBothEnum(t, st, touchesS(), DefaultBudget)
 	if on.Complete != off.Complete {
 		t.Errorf("Complete differs: plan %v, interp %v", on.Complete, off.Complete)
 	}
 	if !sameRowSeq(on, off) {
 		t.Errorf("row sequences differ:\nplan:   %v\ninterp: %v", on.Rows.Tuples(), off.Rows.Tuples())
 	}
-	if !on.Complete || on.Rows.Len() != 7 {
-		t.Errorf("want 7 complete rows, got %d complete=%v", on.Rows.Len(), on.Complete)
+	if !on.Complete || on.Rows.Len() != 5 {
+		t.Errorf("want 5 complete rows, got %d complete=%v", on.Rows.Len(), on.Complete)
 	}
 }
 
@@ -188,7 +202,7 @@ func TestPlanDifferentialEnumerate(t *testing.T) {
 // size stops both paths at the same partial prefix.
 func TestPlanDifferentialEnumerateRowBudget(t *testing.T) {
 	st := enumState(t)
-	on, off := evalBothEnum(t, st, belowSomeR(), EnumerationBudget{Rows: 3, Probe: 1 << 12})
+	on, off := evalBothEnum(t, st, touchesS(), EnumerationBudget{Rows: 3, Probe: 1 << 12})
 	if on.Complete || off.Complete {
 		t.Errorf("row-budget run reported complete: plan %v, interp %v", on.Complete, off.Complete)
 	}
@@ -204,7 +218,7 @@ func TestPlanDifferentialEnumerateRowBudget(t *testing.T) {
 // reach the next row stops both paths identically.
 func TestPlanDifferentialEnumerateProbeBudget(t *testing.T) {
 	st := enumState(t)
-	on, off := evalBothEnum(t, st, belowSomeR(), EnumerationBudget{Rows: 100, Probe: 4})
+	on, off := evalBothEnum(t, st, touchesS(), EnumerationBudget{Rows: 100, Probe: 4})
 	if on.Complete != off.Complete {
 		t.Errorf("Complete differs: plan %v, interp %v", on.Complete, off.Complete)
 	}
@@ -235,9 +249,10 @@ func TestPlanDifferentialCancelled(t *testing.T) {
 	}
 
 	est := enumState(t)
+	requireAlgebraTier(t, est, touchesS())
 	for _, planned := range []bool{true, false} {
 		plan.SetEnabled(planned)
-		ans, err := EnumerationAnswerCtx(ctx, presburger.Domain{}, presburger.Decider(), est, belowSomeR(), DefaultBudget)
+		ans, err := EnumerationAnswerCtx(ctx, presburger.Domain{}, presburger.Decider(), est, touchesS(), DefaultBudget)
 		if err == nil || !canceledErr(err) {
 			t.Fatalf("planner=%v (enum): want context error, got %v", planned, err)
 		}
@@ -338,25 +353,13 @@ func candidateIndex(dom Enumerable, tuple db.Tuple) int {
 // in the same delivery order, same Complete flag, same probe count — with
 // row and probe budgets of 1, exactly enough, one short, and plenty.
 func TestPlanDifferentialEnumerateBudgets(t *testing.T) {
-	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2}))
-	for _, n := range []int64{3, 7} {
-		if err := st.Insert("R", domain.Int(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range [][2]int64{{2, 0}, {0, 2}, {4, 1}, {1, 1}, {5, 3}} {
-		if err := st.Insert("S", domain.Int(p[0]), domain.Int(p[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	st := enumState(t)
 	for _, f := range []*logic.Formula{
-		parser.MustParse("exists y. (S(x, y) | S(y, x)) & ~R(x)"),
+		touchesS(),
 		parser.MustParse("S(x, y)"),
 		parser.MustParse("exists z. (S(x, z) & S(z, y))"),
 	} {
-		if tier := plan.For(context.Background(), st.Scheme(), presburger.Domain{}.Name(), "", f).Tier(); tier != plan.TierAlgebra {
-			t.Fatalf("%v: plan tier %s, want the algebra tier this test exercises", f, tier)
-		}
+		requireAlgebraTier(t, st, f)
 		full := enumerateRun(t, false, st, f, DefaultBudget)
 		if !full.complete || len(full.rows) < 2 {
 			t.Fatalf("%v: reference run gave %d rows, complete=%v", f, len(full.rows), full.complete)

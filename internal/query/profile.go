@@ -30,7 +30,7 @@ type ProfileNode struct {
 }
 
 // Profile is a per-query EXPLAIN report: the execution tree of one
-// EvalActiveProfiled run plus run-level totals.
+// EvalActiveProfiledCtx run plus run-level totals.
 type Profile struct {
 	Query        string   `json:"query"`
 	Vars         []string `json:"vars"`
@@ -162,24 +162,26 @@ func buildProfileTree(f *logic.Formula) *ProfileNode {
 	return n
 }
 
-// EvalActiveProfiled is EvalActive with per-node execution profiling: it
-// returns the same answer plus a Profile tree mirroring the formula, with
-// eval counts, true counts (row cardinalities), quantifier range sizes,
-// and inclusive wall time per node. Short-circuiting is identical to
-// EvalActive, so the counts describe exactly what the plain evaluator
-// would have done; the per-node timers make profiled runs slower, which
-// is why this is a separate opt-in entry point (REPL :explain, Explain).
-//
-// Deprecated: use EvalActiveProfiledCtx (or the finq.Eval facade with
-// Profile set), which honors a request context.
-func EvalActiveProfiled(dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, *Profile, error) {
-	return EvalActiveProfiledCtx(context.Background(), dom, st, f)
+// child returns the profile node of f's i-th subformula, or nil when n is
+// nil (an unprofiled walk).
+func (n *ProfileNode) child(i int) *ProfileNode {
+	if n == nil {
+		return nil
+	}
+	return n.Children[i]
 }
 
-// EvalActiveProfiledCtx is EvalActiveProfiled under a context, polled
-// between free-variable rows and (strided) inside quantifier loops like
-// EvalActiveCtx. On cancellation the answer and profile cover the work
-// done so far (Complete=false) and the context's error is returned.
+// EvalActiveProfiledCtx is active-domain evaluation with per-node
+// execution profiling: it returns the answer plus a Profile tree mirroring
+// the formula, with eval counts, true counts (row cardinalities),
+// quantifier range sizes, and inclusive wall time per node. It always
+// runs the interpreter, through the same walker and assignment loop as
+// EvalActiveCtx's fallback, so the counts describe exactly what the
+// interpreter does; the per-node timers make profiled runs slower, which
+// is why profiling is opt-in (finq.Eval with Profile set, REPL :explain).
+// The context is polled like EvalActiveCtx's. On cancellation the answer
+// and profile cover the work done so far (Complete=false) and the
+// context's error is returned.
 func EvalActiveProfiledCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, *Profile, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "query.explain")
 	defer sp.End()
@@ -188,161 +190,25 @@ func EvalActiveProfiledCtx(ctx context.Context, dom domain.Domain, st *db.State,
 	if err != nil {
 		return nil, nil, err
 	}
-	vars := f.FreeVars()
 	prof := &Profile{
 		Query:        f.String(),
-		Vars:         vars,
 		ActiveDomain: len(rng),
 		Complete:     true,
 		Root:         buildProfileTree(f),
 	}
-	ans := &Answer{Vars: vars, Rows: db.NewRelation(maxInt(len(vars), 1)), Complete: true}
-	si := stateInterp{dom: dom, st: st}
-	env := domain.Env{}
-	stop := &stopCheck{ctx: ctx}
-	var assign func(i int) error
-	assign = func(i int) error {
-		if i == len(vars) {
-			prof.Assignments++
-			v, err := evalProfiled(si, env, f, prof.Root, rng, stop)
-			if err != nil {
-				return err
-			}
-			if v {
-				tuple := make(db.Tuple, maxInt(len(vars), 1))
-				if len(vars) == 0 {
-					tuple[0] = markerTrue{}
-				} else {
-					for j, name := range vars {
-						tuple[j] = env[name]
-					}
-				}
-				return ans.Rows.Add(tuple)
-			}
-			return nil
-		}
-		for _, v := range rng {
-			if i == 0 {
-				if err := stop.hit(); err != nil {
-					return err
-				}
-			}
-			env[vars[i]] = v
-			if err := assign(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, vars[i])
-		return nil
-	}
-	if err := assign(0); err != nil {
-		prof.Rows = ans.Rows.Len()
-		prof.WallNS = time.Since(t0).Nanoseconds()
-		if canceledErr(err) {
-			ans.Complete = false
-			prof.Complete = false
-			return ans, prof, err
-		}
+	ans, leaves, err := interpret(ctx, stateInterp{dom: dom, st: st}, f, rng, prof.Root)
+	prof.WallNS = time.Since(t0).Nanoseconds()
+	if ans == nil {
 		return nil, nil, err
 	}
+	prof.Vars = ans.Vars
+	prof.Assignments = leaves
 	prof.Rows = ans.Rows.Len()
-	prof.WallNS = time.Since(t0).Nanoseconds()
+	prof.Complete = ans.Complete
+	if err != nil {
+		return ans, prof, err
+	}
 	sp.Arg("rows", int64(prof.Rows))
 	sp.Arg("assignments", prof.Assignments)
 	return ans, prof, nil
-}
-
-// Explain runs EvalActiveProfiled and returns just the profile.
-func Explain(dom domain.Domain, st *db.State, f *logic.Formula) (*Profile, error) {
-	_, prof, err := EvalActiveProfiled(dom, st, f)
-	return prof, err
-}
-
-// evalProfiled is evalIn with per-node accounting. The recursion walks the
-// formula and the profile tree in lockstep; the branching and
-// short-circuit order must stay identical to evalIn's.
-func evalProfiled(si stateInterp, env domain.Env, f *logic.Formula, node *ProfileNode, rng []domain.Value, stop *stopCheck) (bool, error) {
-	node.Evals++
-	t0 := time.Now()
-	v, err := evalProfiledKind(si, env, f, node, rng, stop)
-	node.WallNS += time.Since(t0).Nanoseconds()
-	if err != nil {
-		return false, err
-	}
-	if v {
-		node.True++
-	}
-	return v, nil
-}
-
-func evalProfiledKind(si stateInterp, env domain.Env, f *logic.Formula, node *ProfileNode, rng []domain.Value, stop *stopCheck) (bool, error) {
-	switch f.Kind {
-	case logic.FExists, logic.FForall:
-		node.Range = len(rng)
-		saved, had := env[f.Var]
-		defer func() {
-			if had {
-				env[f.Var] = saved
-			} else {
-				delete(env, f.Var)
-			}
-		}()
-		for _, v := range rng {
-			if err := stop.strided(); err != nil {
-				return false, err
-			}
-			env[f.Var] = v
-			r, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-			if err != nil {
-				return false, err
-			}
-			if f.Kind == logic.FExists && r {
-				return true, nil
-			}
-			if f.Kind == logic.FForall && !r {
-				return false, nil
-			}
-		}
-		return f.Kind == logic.FForall, nil
-	case logic.FNot:
-		v, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-		return !v, err
-	case logic.FAnd:
-		for i, s := range f.Sub {
-			v, err := evalProfiled(si, env, s, node.Children[i], rng, stop)
-			if err != nil || !v {
-				return false, err
-			}
-		}
-		return true, nil
-	case logic.FOr:
-		for i, s := range f.Sub {
-			v, err := evalProfiled(si, env, s, node.Children[i], rng, stop)
-			if err != nil {
-				return false, err
-			}
-			if v {
-				return true, nil
-			}
-		}
-		return false, nil
-	case logic.FImplies:
-		a, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-		if err != nil {
-			return false, err
-		}
-		if !a {
-			return true, nil
-		}
-		return evalProfiled(si, env, f.Sub[1], node.Children[1], rng, stop)
-	case logic.FIff:
-		a, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-		if err != nil {
-			return false, err
-		}
-		b, err := evalProfiled(si, env, f.Sub[1], node.Children[1], rng, stop)
-		return a == b, err
-	default:
-		return domain.EvalQF(si, env, f)
-	}
 }

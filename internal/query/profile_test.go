@@ -1,7 +1,9 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -24,7 +26,7 @@ func familyState(t *testing.T) *db.State {
 }
 
 // TestProfileMatchesEvalActive: the profiled evaluator returns exactly the
-// rows of EvalActive, and the profile's accounting is internally
+// rows of EvalActiveCtx, and the profile's accounting is internally
 // consistent on a nested-quantifier query: the root's True count equals
 // the answer cardinality-wise (one true evaluation per emitted row), each
 // node's True never exceeds its Evals, and quantifier nodes record the
@@ -39,16 +41,16 @@ func TestProfileMatchesEvalActive(t *testing.T) {
 			logic.Atom("F", logic.Var("z"), logic.Var("x")),
 			logic.Not(logic.Eq(logic.Var("z"), logic.Var("x"))))),
 	)
-	plain, err := EvalActive(dom, st, f)
+	plain, err := EvalActiveCtx(context.Background(), dom, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, prof, err := EvalActiveProfiled(dom, st, f)
+	ans, prof, err := EvalActiveProfiledCtx(context.Background(), dom, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := rowsKey(t, ans), rowsKey(t, plain); got != want {
-		t.Fatalf("profiled rows differ from EvalActive:\n%s\n%s", got, want)
+		t.Fatalf("profiled rows differ from EvalActiveCtx:\n%s\n%s", got, want)
 	}
 	if prof.Rows != ans.Rows.Len() {
 		t.Errorf("profile rows %d, answer has %d", prof.Rows, ans.Rows.Len())
@@ -99,7 +101,7 @@ func TestProfileMatchesEvalActive(t *testing.T) {
 func TestProfileRenderings(t *testing.T) {
 	st := familyState(t)
 	f := logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y")))
-	prof, err := Explain(eqdom.Domain{}, st, f)
+	_, prof, err := EvalActiveProfiledCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestProfileRenderings(t *testing.T) {
 func TestProfileSentence(t *testing.T) {
 	st := familyState(t)
 	f := logic.Exists("x", logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y"))))
-	ans, prof, err := EvalActiveProfiled(eqdom.Domain{}, st, f)
+	ans, prof, err := EvalActiveProfiledCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +134,56 @@ func TestProfileSentence(t *testing.T) {
 	}
 	if ans.Rows.Len() != 1 || prof.Root.True != 1 {
 		t.Errorf("true sentence: rows=%d root.True=%d, want 1 and 1", ans.Rows.Len(), prof.Root.True)
+	}
+}
+
+// TestEvalActiveProfiledRandom: on random formulas (∧, ∨, ¬, ∃ over one
+// binary relation) the profiled evaluator returns the rows of the plain
+// one, and its profile accounts one root evaluation per assignment and one
+// true root evaluation per row.
+func TestEvalActiveProfiledRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
+	for i := 0; i < 12; i++ {
+		if err := st.Insert("F",
+			domain.Int(int64(rng.Intn(6))), domain.Int(int64(rng.Intn(6)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vars := []string{"x", "y", "z"}
+	var gen func(d int) *logic.Formula
+	gen = func(d int) *logic.Formula {
+		atom := logic.Atom("F", logic.Var(vars[rng.Intn(3)]), logic.Var(vars[rng.Intn(3)]))
+		if d == 0 {
+			return atom
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return logic.And(gen(d-1), gen(d-1))
+		case 1:
+			return logic.Or(gen(d-1), gen(d-1))
+		case 2:
+			return logic.Not(gen(d - 1))
+		default:
+			return logic.Exists(vars[rng.Intn(3)], gen(d-1))
+		}
+	}
+	d := eqDomainOverInts{}
+	for i := 0; i < 50; i++ {
+		f := gen(3)
+		plain, err := EvalActiveCtx(context.Background(), d, st, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, prof, err := EvalActiveProfiledCtx(context.Background(), d, st, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kp, ka := rowsKey(t, plain), rowsKey(t, ans); kp != ka {
+			t.Fatalf("%v: plain and profiled rows differ:\n%s\n%s", f, kp, ka)
+		}
+		if prof.Root.Evals != prof.Assignments || prof.Root.True != int64(ans.Rows.Len()) {
+			t.Errorf("%v: root evals=%d true=%d, want %d and %d", f, prof.Root.Evals, prof.Root.True, prof.Assignments, ans.Rows.Len())
+		}
 	}
 }

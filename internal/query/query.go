@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/db"
 	"repro/internal/domain"
@@ -172,22 +173,14 @@ type Answer struct {
 	Complete bool // false when a budget stopped the computation
 }
 
-// EvalActive evaluates a query under active-domain semantics: quantifiers
-// and free variables range over the state's active domain plus the query's
-// constants. For domain-independent queries this agrees with the natural
-// semantics; for others it is the classical engine approximation.
-//
-// Deprecated: use EvalActiveCtx (or the finq.Eval facade), which honors a
-// request context. EvalActive is EvalActiveCtx with no cancellation.
-func EvalActive(dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, error) {
-	return EvalActiveCtx(context.Background(), dom, st, f)
-}
-
-// EvalActiveCtx is active-domain evaluation under a context: the context
-// is polled between free-variable rows and (strided) inside quantifier
-// loops. On cancellation the rows found so far are returned with
-// Complete=false alongside the context's error, so callers can serve a
-// partial answer.
+// EvalActiveCtx evaluates a query under active-domain semantics:
+// quantifiers and free variables range over the state's active domain plus
+// the query's constants. For domain-independent queries this agrees with
+// the natural semantics; for others it is the classical engine
+// approximation. The context is polled between free-variable rows and
+// (strided) inside quantifier loops. On cancellation the rows found so far
+// are returned with Complete=false alongside the context's error, so
+// callers can serve a partial answer.
 func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "query.eval_active")
 	defer sp.End()
@@ -207,35 +200,54 @@ func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logi
 	if ans, err, ok := planActiveAnswer(ctx, sp, dom, st, f, rng); ok {
 		return ans, err
 	}
+	ans, leaves, err := interpret(ctx, stateInterp{dom: dom, st: st}, f, rng, nil)
+	mEvalAssigns.Add(leaves)
+	if err != nil {
+		if ans != nil {
+			sp.Arg("rows", int64(ans.Rows.Len()))
+		}
+		return ans, err
+	}
+	mEvalRows.Add(int64(ans.Rows.Len()))
+	sp.Arg("assignments", leaves)
+	sp.Arg("rows", int64(ans.Rows.Len()))
+	return ans, nil
+}
+
+// interpret is the interpreter's one assignment loop: it binds the free
+// variables to every tuple over rng in order (a sentence gets the one
+// empty assignment), evaluates f under each with evalIn, and collects the
+// satisfying tuples. node, when non-nil, is the profile tree evalIn
+// accounts into. It returns the number of assignments evaluated. On
+// cancellation the rows found so far come back with Complete=false and
+// the context's error; on any other error the answer is nil.
+func interpret(ctx context.Context, si stateInterp, f *logic.Formula, rng []domain.Value, node *ProfileNode) (*Answer, int64, error) {
 	vars := f.FreeVars()
 	ans := &Answer{Vars: vars, Rows: db.NewRelation(maxInt(len(vars), 1)), Complete: true}
-	si := stateInterp{dom: dom, st: st}
 	env := domain.Env{}
 	stop := &stopCheck{ctx: ctx}
-	// Leaf assignments are counted locally and flushed once: the recursion
-	// is the evaluator's hot loop and must carry no atomic traffic.
+	// Leaf assignments are counted locally and flushed by the caller: the
+	// recursion is the evaluator's hot loop and must carry no atomic
+	// traffic.
 	leaves := int64(0)
 	var assign func(i int) error
 	assign = func(i int) error {
 		if i == len(vars) {
 			leaves++
-			v, err := evalIn(si, env, f, rng, stop)
-			if err != nil {
+			v, err := evalIn(si, env, f, node, rng, stop)
+			if err != nil || !v {
 				return err
 			}
-			if v {
-				tuple := make(db.Tuple, maxInt(len(vars), 1))
-				if len(vars) == 0 {
-					// A boolean query: record a single marker row when true.
-					tuple[0] = markerTrue{}
-				} else {
-					for j, name := range vars {
-						tuple[j] = env[name]
-					}
+			tuple := make(db.Tuple, maxInt(len(vars), 1))
+			if len(vars) == 0 {
+				// A boolean query: record a single marker row when true.
+				tuple[0] = markerTrue{}
+			} else {
+				for j, name := range vars {
+					tuple[j] = env[name]
 				}
-				return ans.Rows.Add(tuple)
 			}
-			return nil
+			return ans.Rows.Add(tuple)
 		}
 		for _, v := range rng {
 			if i == 0 {
@@ -253,20 +265,14 @@ func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logi
 		delete(env, vars[i])
 		return nil
 	}
-	err = assign(0)
-	mEvalAssigns.Add(leaves)
-	if err != nil {
+	if err := assign(0); err != nil {
 		if canceledErr(err) {
 			ans.Complete = false
-			sp.Arg("rows", int64(ans.Rows.Len()))
-			return ans, err
+			return ans, leaves, err
 		}
-		return nil, err
+		return nil, leaves, err
 	}
-	mEvalRows.Add(int64(ans.Rows.Len()))
-	sp.Arg("assignments", leaves)
-	sp.Arg("rows", int64(ans.Rows.Len()))
-	return ans, nil
+	return ans, leaves, nil
 }
 
 // markerTrue is the single row of a true boolean query.
@@ -310,10 +316,27 @@ func activeRange(dom domain.Domain, st *db.State, f *logic.Formula) ([]domain.Va
 }
 
 // evalIn evaluates a formula with quantifiers ranging over rng, polling
-// stop (strided) on each quantifier iteration.
-func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value, stop *stopCheck) (bool, error) {
+// stop (strided) on each quantifier iteration. node, when non-nil, is f's
+// node in a profile tree built by buildProfileTree: the walk descends it in
+// lockstep with the formula and counts evaluations, true outcomes,
+// quantifier ranges and inclusive wall time into it. With a nil node no
+// accounting is done and no clock is read.
+func evalIn(si stateInterp, env domain.Env, f *logic.Formula, node *ProfileNode, rng []domain.Value, stop *stopCheck) (truth bool, err error) {
+	if node != nil {
+		node.Evals++
+		t0 := time.Now()
+		defer func() {
+			node.WallNS += time.Since(t0).Nanoseconds()
+			if truth && err == nil {
+				node.True++
+			}
+		}()
+	}
 	switch f.Kind {
 	case logic.FExists, logic.FForall:
+		if node != nil {
+			node.Range = len(rng)
+		}
 		saved, had := env[f.Var]
 		defer func() {
 			if had {
@@ -327,7 +350,7 @@ func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value
 				return false, err
 			}
 			env[f.Var] = v
-			r, err := evalIn(si, env, f.Sub[0], rng, stop)
+			r, err := evalIn(si, env, f.Sub[0], node.child(0), rng, stop)
 			if err != nil {
 				return false, err
 			}
@@ -340,19 +363,19 @@ func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value
 		}
 		return f.Kind == logic.FForall, nil
 	case logic.FNot:
-		v, err := evalIn(si, env, f.Sub[0], rng, stop)
+		v, err := evalIn(si, env, f.Sub[0], node.child(0), rng, stop)
 		return !v, err
 	case logic.FAnd:
-		for _, s := range f.Sub {
-			v, err := evalIn(si, env, s, rng, stop)
+		for i, s := range f.Sub {
+			v, err := evalIn(si, env, s, node.child(i), rng, stop)
 			if err != nil || !v {
 				return false, err
 			}
 		}
 		return true, nil
 	case logic.FOr:
-		for _, s := range f.Sub {
-			v, err := evalIn(si, env, s, rng, stop)
+		for i, s := range f.Sub {
+			v, err := evalIn(si, env, s, node.child(i), rng, stop)
 			if err != nil {
 				return false, err
 			}
@@ -362,20 +385,20 @@ func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value
 		}
 		return false, nil
 	case logic.FImplies:
-		a, err := evalIn(si, env, f.Sub[0], rng, stop)
+		a, err := evalIn(si, env, f.Sub[0], node.child(0), rng, stop)
 		if err != nil {
 			return false, err
 		}
 		if !a {
 			return true, nil
 		}
-		return evalIn(si, env, f.Sub[1], rng, stop)
+		return evalIn(si, env, f.Sub[1], node.child(1), rng, stop)
 	case logic.FIff:
-		a, err := evalIn(si, env, f.Sub[0], rng, stop)
+		a, err := evalIn(si, env, f.Sub[0], node.child(0), rng, stop)
 		if err != nil {
 			return false, err
 		}
-		b, err := evalIn(si, env, f.Sub[1], rng, stop)
+		b, err := evalIn(si, env, f.Sub[1], node.child(1), rng, stop)
 		return a == b, err
 	default:
 		return domain.EvalQF(si, env, f)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -102,7 +103,7 @@ func TestEvalActiveFathers(t *testing.T) {
 	st := fathersState(t)
 	// M(x): fathers of at least two sons (the introduction's example).
 	m := parser.MustParse("exists y. (exists z. (y != z & F(x, y) & F(x, z)))")
-	ans, err := EvalActive(eqdom.Domain{}, st, m)
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, m)
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestEvalActiveFathers(t *testing.T) {
 	}
 	// G(x, z): grandfather pairs.
 	g := parser.MustParse("exists y. (F(x, y) & F(y, z))")
-	ans, err = EvalActive(eqdom.Domain{}, st, g)
+	ans, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, g)
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}
@@ -122,14 +123,14 @@ func TestEvalActiveFathers(t *testing.T) {
 
 func TestEvalActiveBoolean(t *testing.T) {
 	st := fathersState(t)
-	ans, err := EvalActive(eqdom.Domain{}, st, parser.MustParse(`exists x. F("adam", x)`))
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, parser.MustParse(`exists x. F("adam", x)`))
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}
 	if ans.Rows.Len() != 1 {
 		t.Errorf("true boolean query should have one marker row")
 	}
-	ans, err = EvalActive(eqdom.Domain{}, st, parser.MustParse(`exists x. F("enoch", x)`))
+	ans, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, parser.MustParse(`exists x. F("enoch", x)`))
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestEvalActiveQueryConstants(t *testing.T) {
 	// A constant outside the active domain extends the range.
 	st := fathersState(t)
 	f := parser.MustParse(`x = "seth"`)
-	ans, err := EvalActive(eqdom.Domain{}, st, f)
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}
@@ -303,7 +304,7 @@ func TestAgreementActiveVsEnumeration(t *testing.T) {
 		}
 	}
 	f := parser.MustParse("R(x) & S(x)") // intersection
-	active, err := EvalActive(presburger.Domain{}, st, f)
+	active, err := EvalActiveCtx(context.Background(), presburger.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +357,12 @@ func TestEvalActiveConnectives(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := parser.MustParse(c.src)
-		ans, err := EvalActive(eqdom.Domain{}, st, f)
+		ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 		if err != nil {
-			t.Fatalf("EvalActive(%s): %v", c.src, err)
+			t.Fatalf("EvalActiveCtx(%s): %v", c.src, err)
 		}
 		if ans.Rows.Len() != c.rows {
-			t.Errorf("EvalActive(%s) = %d rows, want %d: %v", c.src, ans.Rows.Len(), c.rows, ans.Rows.Tuples())
+			t.Errorf("EvalActiveCtx(%s) = %d rows, want %d: %v", c.src, ans.Rows.Len(), c.rows, ans.Rows.Tuples())
 		}
 	}
 }
@@ -374,7 +375,7 @@ func TestStateInterpFunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := logic.Atom("R", logic.App(nsucc.FuncS, logic.Var("x")))
-	ans, err := EvalActive(nsucc.Domain{}, st, f)
+	ans, err := EvalActiveCtx(context.Background(), nsucc.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("EvalActive: %v", err)
 	}

@@ -119,7 +119,7 @@ func (s *Server) evalBatchItem(ctx context.Context, d finq.DomainInfo, st *finq.
 	// a single request; with several distinct formulas per batch the last
 	// key wins the capture, but every key is marked seen.
 	noteQueryKey(ctx, bf.key)
-	res, err := finq.Eval(ctx, libRequest(domainName, st, bf.f, item.Mode, item.Workers, item.Budget, item.Profile))
+	res, err := finq.Eval(ctx, libRequest(domainName, st, bf.f, item.Mode, item.Budget, item.Profile))
 	if err != nil {
 		return apiv1.BatchItemResult{Error: itemError(err), SpanID: sp.SpanID()}
 	}

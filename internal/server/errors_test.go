@@ -50,6 +50,9 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"method on domains", http.MethodPost, "/v1/domains", "{}", 405, apiv1.CodeMethodNotAllowed},
 		{"bad JSON", http.MethodPost, "/v1/eval", "{", 400, apiv1.CodeBadRequest},
 		{"unknown field", http.MethodPost, "/v1/eval", `{"formulae": "x = x"}`, 400, apiv1.CodeBadRequest},
+		{"workers on eval", http.MethodPost, "/v1/eval", `{"domain": "eq", "formula": "x = x", "workers": 4}`, 400, apiv1.CodeBadRequest},
+		{"workers on batch item", http.MethodPost, "/v1/eval/batch",
+			`{"domain": "eq", "items": [{"formula": "x = x", "workers": 4}]}`, 400, apiv1.CodeBadRequest},
 		{"unknown domain", http.MethodPost, "/v1/eval", `{"domain": "nope", "formula": "x = x"}`, 400, apiv1.CodeBadRequest},
 		{"bad formula", http.MethodPost, "/v1/eval", `{"domain": "eq", "formula": "((("}`, 400, apiv1.CodeBadRequest},
 		{"oversized body", http.MethodPost, "/v1/eval",

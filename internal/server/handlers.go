@@ -63,14 +63,13 @@ func parseStateOpt(domainName string, raw json.RawMessage) (*finq.State, error) 
 
 // libRequest converts the wire form of one evaluation into the library's.
 func libRequest(domainName string, st *finq.State, f *finq.Formula,
-	mode string, workers int, budget *apiv1.Budget, profile bool) finq.Request {
+	mode string, budget *apiv1.Budget, profile bool) finq.Request {
 
 	lreq := finq.Request{
 		Domain:  domainName,
 		State:   st,
 		Formula: f,
 		Mode:    finq.EvalMode(mode),
-		Workers: workers,
 		Profile: profile,
 	}
 	if budget != nil {
@@ -92,7 +91,7 @@ func (s *Server) handleEval(ctx context.Context, env *handlerEnv) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	lreq := libRequest(req.Domain, st, f, req.Mode, req.Workers, req.Budget, req.Profile)
+	lreq := libRequest(req.Domain, st, f, req.Mode, req.Budget, req.Profile)
 	// Feed the tail sampler: the canonical key marks this request as a
 	// sighting of its query, so each distinct query's first request gets a
 	// retained trace.

@@ -182,10 +182,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeak mirrors the parallel-evaluator regression test at the
-// service layer: after a mix of completed, deadline-stopped, and
-// client-cancelled requests (serial and parallel evaluation), the goroutine
-// count settles back to its baseline.
+// TestNoGoroutineLeak: after a mix of completed, deadline-stopped, and
+// client-cancelled requests, the service's goroutine count settles back to
+// its baseline.
 func TestNoGoroutineLeak(t *testing.T) {
 	cfg := Config{Workers: 4, EvalTimeout: 100 * time.Millisecond}
 	srv, base := startServer(t, cfg)
@@ -208,13 +207,13 @@ func TestNoGoroutineLeak(t *testing.T) {
 			resp.Body.Close()
 		}
 		cancel()
-		// A quick parallel evaluation that completes normally.
+		// A quick evaluation that completes normally.
 		code, data = post(t, http.DefaultClient, base+"/v1/eval", `{
 		  "domain": "eq",
 		  "state": {"relations": {"F": [["adam", "abel"], ["adam", "cain"]]}},
-		  "formula": "exists y. F(x, y)", "workers": 4}`)
+		  "formula": "exists y. F(x, y)"}`)
 		if code != http.StatusOK {
-			t.Fatalf("parallel eval status %d: %s", code, data)
+			t.Fatalf("quick eval status %d: %s", code, data)
 		}
 	}
 

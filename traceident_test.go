@@ -10,9 +10,9 @@ import (
 )
 
 // TestConcurrentEvalSpanIdentityUnique hammers span-identity minting from
-// many goroutines sharing ONE parent trace position — serial evaluations,
-// EvalActiveParallel worker fan-out, and enumerations with per-row child
-// spans, all concurrently — and demands that every recorded span carries
+// many goroutines sharing ONE parent trace position — plain and profiled
+// active-domain evaluations and enumerations with per-row child spans, all
+// concurrently — and demands that every recorded span carries
 // the shared trace ID with a globally unique span ID. Run under -race
 // this is also the data-race check for the ctx→child minting path.
 func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
@@ -55,10 +55,10 @@ func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
 			ctx = tracectx.With(ctx, root)
 			for i := 0; i < rounds; i++ {
 				reqs := []Request{
-					// Serial active-domain evaluation.
+					// Active-domain evaluation through the plan.
 					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive},
-					// EvalActiveParallel: worker fan-out under one span.
-					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive, Workers: 4},
+					// Profiled evaluation through the interpreter.
+					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive, Profile: true},
 					// Enumeration: per-row Child spans mint grandchildren.
 					{Domain: pres.Name, State: pst, Formula: pf, Mode: ModeEnumerate, Budget: &DefaultBudget},
 				}
@@ -95,7 +95,7 @@ func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
 		}
 		seen[e.Span] = e.Name
 	}
-	// Every goroutine ran serial + parallel + enumerate rounds; each mints
+	// Every goroutine ran plain + profiled + enumerate rounds; each mints
 	// at least one identified span, so the floor is goroutines*rounds*3.
 	if identified < goroutines*rounds*3 {
 		t.Fatalf("only %d identified spans recorded, want >= %d (ring dropped %d)",
